@@ -2,10 +2,14 @@
 //! reference, the doubled-distance baseline and Q3DE.
 //!
 //! `--samples` sets the number of meas_ZZ instructions (default 2000); run
-//! with `--help` for the shared engine flag set.
+//! with `--help` for the shared engine flag set.  Every cell uses the same
+//! random stream, so the rows of one column differ only by architecture.
 
 use q3de::control::{ArchitectureMode, ThroughputConfig, ThroughputSimulator};
 use q3de_bench::{print_row, Cli};
+
+/// The RNG salt shared by every cell of the table.
+const SALT: u64 = 1;
 
 fn main() {
     let (args, _) = Cli::new(
@@ -29,41 +33,32 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let run = |mode, prob, duration, salt| {
+    // Every cell replays one instruction stream and one sequence of strike
+    // draws (common random numbers), so rows differ only by architecture and
+    // columns only by strike frequency.  The MBBE-free and baseline modes
+    // never sample strikes, so each of their rows is a single run.
+    let run = |mode, prob, duration| {
         let mut config = ThroughputConfig::fig10(mode, prob, duration);
         config.num_instructions = args.samples;
-        let mut rng = args.rng(salt);
-        ThroughputSimulator::new(config)
-            .run(&mut rng)
-            .instructions_per_d_cycles
+        let mut rng = args.rng(SALT);
+        format!(
+            "{:9.2}",
+            ThroughputSimulator::new(config)
+                .run(&mut rng)
+                .instructions_per_d_cycles
+        )
     };
 
-    let free: Vec<String> = frequencies
-        .iter()
-        .map(|_| format!("{:9.2}", run(ArchitectureMode::MbbeFree, 0.0, 100, 1)))
-        .collect();
-    print_row("MBBE free", &free);
-    let baseline: Vec<String> = frequencies
-        .iter()
-        .enumerate()
-        .map(|(i, &f)| {
-            format!(
-                "{:9.2}",
-                run(ArchitectureMode::Baseline, f, 100, 10 + i as u64)
-            )
-        })
-        .collect();
-    print_row("baseline (2d)", &baseline);
+    for (label, mode) in [
+        ("MBBE free", ArchitectureMode::MbbeFree),
+        ("baseline (2d)", ArchitectureMode::Baseline),
+    ] {
+        print_row(label, &vec![run(mode, 0.0, 100); frequencies.len()]);
+    }
     for &duration in &durations {
         let q3de: Vec<String> = frequencies
             .iter()
-            .enumerate()
-            .map(|(i, &f)| {
-                format!(
-                    "{:9.2}",
-                    run(ArchitectureMode::Q3de, f, duration, 100 + i as u64)
-                )
-            })
+            .map(|&f| run(ArchitectureMode::Q3de, f, duration))
             .collect();
         print_row(&format!("Q3DE tau_ano/(d tau_cyc)={duration}"), &q3de);
     }

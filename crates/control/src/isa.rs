@@ -1,6 +1,7 @@
 //! The succinct FTQC instruction set of Table II.
 
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifier of a logical qubit slot on the qubit plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,18 +65,55 @@ pub enum Instruction {
     },
 }
 
+/// The logical qubits one instruction acts on: at most two, stored inline.
+/// Derefs to `&[LogicalQubitId]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Targets {
+    qubits: [LogicalQubitId; 2],
+    len: u8,
+}
+
+impl Targets {
+    const NONE: Self = Self {
+        qubits: [LogicalQubitId(0); 2],
+        len: 0,
+    };
+
+    fn one(qubit: LogicalQubitId) -> Self {
+        Self {
+            qubits: [qubit; 2],
+            len: 1,
+        }
+    }
+
+    fn two(a: LogicalQubitId, b: LogicalQubitId) -> Self {
+        Self {
+            qubits: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl Deref for Targets {
+    type Target = [LogicalQubitId];
+
+    fn deref(&self) -> &[LogicalQubitId] {
+        &self.qubits[..usize::from(self.len)]
+    }
+}
+
 impl Instruction {
     /// The logical qubits the instruction acts on (empty for `read`).
-    pub fn targets(&self) -> Vec<LogicalQubitId> {
+    pub fn targets(&self) -> Targets {
         match *self {
             Instruction::InitZero { target }
             | Instruction::InitA { target }
             | Instruction::InitY { target }
             | Instruction::OpH { target }
             | Instruction::MeasZ { target, .. }
-            | Instruction::OpExpand { target, .. } => vec![target],
-            Instruction::MeasZz { a, b, .. } => vec![a, b],
-            Instruction::Read { .. } => Vec::new(),
+            | Instruction::OpExpand { target, .. } => Targets::one(target),
+            Instruction::MeasZz { a, b, .. } => Targets::two(a, b),
+            Instruction::Read { .. } => Targets::NONE,
         }
     }
 
@@ -122,9 +160,8 @@ impl Instruction {
     /// Whether two instructions commute for scheduling purposes: they act on
     /// disjoint logical qubits and do not touch the same register.
     pub fn commutes_with(&self, other: &Instruction) -> bool {
-        let my_targets = self.targets();
         let other_targets = other.targets();
-        let qubits_disjoint = my_targets.iter().all(|t| !other_targets.contains(t));
+        let qubits_disjoint = self.targets().iter().all(|t| !other_targets.contains(t));
         let registers_disjoint = match (self.register(), other.register()) {
             (Some(a), Some(b)) => a != b,
             _ => true,
@@ -174,7 +211,8 @@ mod tests {
             b: Q1,
             register: R0,
         };
-        assert_eq!(m.targets(), vec![Q0, Q1]);
+        assert_eq!(*m.targets(), [Q0, Q1]);
+        assert_eq!(*Instruction::OpH { target: Q2 }.targets(), [Q2]);
         assert_eq!(m.register(), Some(R0));
         assert!(m.is_measurement());
         assert!(m.needs_ancilla_space());

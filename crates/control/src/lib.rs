@@ -27,7 +27,7 @@ pub mod registers;
 pub mod scheduler;
 
 pub use frame::{FrameUpdate, PauliFrame};
-pub use isa::{Instruction, LogicalQubitId, RegisterId};
+pub use isa::{Instruction, LogicalQubitId, RegisterId, Targets};
 pub use plane::{BlockCoord, BlockState, QubitPlane};
 pub use queues::{
     ExpansionArbiter, ExpansionBid, ExpansionDecision, ExpansionGrant, ExpansionQueue,

@@ -1,7 +1,6 @@
 //! The qubit plane: a grid of surface-code blocks.
 
 use crate::isa::LogicalQubitId;
-use std::collections::{HashMap, VecDeque};
 
 /// Position of a block (a surface-code patch slot) on the qubit plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,8 +46,27 @@ pub struct QubitPlane {
     rows: usize,
     cols: usize,
     states: Vec<BlockState>,
-    logical_positions: HashMap<LogicalQubitId, BlockCoord>,
+    /// Block of each logical qubit, indexed by its dense id.
+    logical_positions: Vec<BlockCoord>,
+    /// A lower bound on the `until_cycle` of every reserved or anomalous
+    /// block (`u64::MAX` when there is none), so [`QubitPlane::expire`] can
+    /// skip the block scan while nothing can expire.
+    next_expiry: u64,
 }
+
+/// Reusable buffers of the routing BFS over flat block indices.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RouteScratch {
+    /// BFS parent of each visited block; a seed is its own parent.
+    parent: Vec<usize>,
+    /// Blocks in visiting order (the BFS queue, consumed from the front).
+    frontier: Vec<usize>,
+    /// The flat indices of the route found by the last successful search,
+    /// from `a`'s side.
+    pub(crate) path: Vec<usize>,
+}
+
+const UNSEEN: usize = usize::MAX;
 
 impl QubitPlane {
     /// Creates a plane of `rows × cols` blocks with logical qubits allocated
@@ -63,14 +81,12 @@ impl QubitPlane {
             "the qubit plane needs at least 3×3 blocks"
         );
         let mut states = vec![BlockState::Vacant; rows * cols];
-        let mut logical_positions = HashMap::new();
-        let mut next_id = 0usize;
+        let mut logical_positions = Vec::new();
         for row in (1..rows).step_by(2) {
             for col in (1..cols).step_by(2) {
-                let id = LogicalQubitId(next_id);
-                next_id += 1;
+                let id = LogicalQubitId(logical_positions.len());
                 states[row * cols + col] = BlockState::Logical(id);
-                logical_positions.insert(id, BlockCoord::new(row, col));
+                logical_positions.push(BlockCoord::new(row, col));
             }
         }
         Self {
@@ -78,6 +94,7 @@ impl QubitPlane {
             cols,
             states,
             logical_positions,
+            next_expiry: u64::MAX,
         }
     }
 
@@ -98,14 +115,14 @@ impl QubitPlane {
 
     /// The logical qubit identifiers in allocation order.
     pub fn logical_qubits(&self) -> Vec<LogicalQubitId> {
-        let mut ids: Vec<_> = self.logical_positions.keys().copied().collect();
-        ids.sort();
-        ids
+        (0..self.logical_positions.len())
+            .map(LogicalQubitId)
+            .collect()
     }
 
     /// The block hosting a logical qubit.
     pub fn position_of(&self, qubit: LogicalQubitId) -> Option<BlockCoord> {
-        self.logical_positions.get(&qubit).copied()
+        self.logical_positions.get(qubit.0).copied()
     }
 
     fn index(&self, block: BlockCoord) -> usize {
@@ -114,6 +131,25 @@ impl QubitPlane {
             "block {block:?} out of range"
         );
         block.row * self.cols + block.col
+    }
+
+    fn coord(&self, index: usize) -> BlockCoord {
+        BlockCoord::new(index / self.cols, index % self.cols)
+    }
+
+    /// The flat indices of the neighbours of `index` (fewer at the plane
+    /// edge), in the order the routing BFS visits them: up, down, left,
+    /// right.
+    fn neighbor_indices(&self, index: usize) -> impl Iterator<Item = usize> {
+        let (row, col, cols) = (index / self.cols, index % self.cols, self.cols);
+        [
+            (row > 0).then(|| index - cols),
+            (row + 1 < self.rows).then(|| index + cols),
+            (col > 0).then(|| index - 1),
+            (col + 1 < cols).then(|| index + 1),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// The state of a block.
@@ -125,28 +161,14 @@ impl QubitPlane {
         self.states[self.index(block)]
     }
 
-    /// The four neighbouring blocks (fewer at the plane edge).
-    pub fn neighbors(&self, block: BlockCoord) -> Vec<BlockCoord> {
-        let mut out = Vec::with_capacity(4);
-        if block.row > 0 {
-            out.push(BlockCoord::new(block.row - 1, block.col));
-        }
-        if block.row + 1 < self.rows {
-            out.push(BlockCoord::new(block.row + 1, block.col));
-        }
-        if block.col > 0 {
-            out.push(BlockCoord::new(block.row, block.col - 1));
-        }
-        if block.col + 1 < self.cols {
-            out.push(BlockCoord::new(block.row, block.col + 1));
-        }
-        out
-    }
-
     /// Whether the block can be used as routing/expansion space at `cycle`:
     /// it is vacant and neither reserved nor anomalous.
     pub fn is_available(&self, block: BlockCoord, cycle: u64) -> bool {
-        match self.state(block) {
+        self.available_at(self.index(block), cycle)
+    }
+
+    fn available_at(&self, index: usize, cycle: u64) -> bool {
+        match self.states[index] {
             BlockState::Vacant => true,
             BlockState::Logical(_) => false,
             BlockState::Reserved { until_cycle } | BlockState::Anomalous { until_cycle } => {
@@ -156,17 +178,30 @@ impl QubitPlane {
     }
 
     /// Releases reservations and anomalies that have expired by `cycle`.
+    /// Returns at once while `cycle` is below every expiry.
     pub fn expire(&mut self, cycle: u64) {
+        if cycle < self.next_expiry {
+            return;
+        }
+        self.next_expiry = u64::MAX;
         for state in &mut self.states {
             match *state {
-                BlockState::Reserved { until_cycle } | BlockState::Anomalous { until_cycle }
-                    if cycle >= until_cycle =>
-                {
-                    *state = BlockState::Vacant;
+                BlockState::Reserved { until_cycle } | BlockState::Anomalous { until_cycle } => {
+                    if cycle >= until_cycle {
+                        *state = BlockState::Vacant;
+                    } else {
+                        self.next_expiry = self.next_expiry.min(until_cycle);
+                    }
                 }
                 _ => {}
             }
         }
+    }
+
+    /// The earliest cycle at which [`QubitPlane::expire`] can release a
+    /// block: no reservation or anomaly ends before it.
+    pub(crate) fn next_expiry(&self) -> u64 {
+        self.next_expiry
     }
 
     /// Reserves a vacant block until `until_cycle`.
@@ -175,12 +210,18 @@ impl QubitPlane {
     ///
     /// Panics if the block is not currently available.
     pub fn reserve(&mut self, block: BlockCoord, cycle: u64, until_cycle: u64) {
+        self.reserve_index(self.index(block), cycle, until_cycle);
+    }
+
+    /// [`QubitPlane::reserve`] by flat block index.
+    pub(crate) fn reserve_index(&mut self, index: usize, cycle: u64, until_cycle: u64) {
         assert!(
-            self.is_available(block, cycle),
-            "block {block:?} is not available"
+            self.available_at(index, cycle),
+            "block {:?} is not available",
+            self.coord(index)
         );
-        let idx = self.index(block);
-        self.states[idx] = BlockState::Reserved { until_cycle };
+        self.states[index] = BlockState::Reserved { until_cycle };
+        self.next_expiry = self.next_expiry.min(until_cycle);
     }
 
     /// Marks a vacant or reserved block anomalous until `until_cycle`
@@ -190,7 +231,10 @@ impl QubitPlane {
         let idx = self.index(block);
         match self.states[idx] {
             BlockState::Logical(_) => {}
-            _ => self.states[idx] = BlockState::Anomalous { until_cycle },
+            _ => {
+                self.states[idx] = BlockState::Anomalous { until_cycle };
+                self.next_expiry = self.next_expiry.min(until_cycle);
+            }
         }
     }
 
@@ -209,60 +253,97 @@ impl QubitPlane {
         b: LogicalQubitId,
         cycle: u64,
     ) -> Option<Vec<BlockCoord>> {
-        let start_block = self.position_of(a)?;
-        let goal_block = self.position_of(b)?;
+        let mut scratch = RouteScratch::default();
+        self.route_into(a, b, cycle, &mut scratch)
+            .then(|| scratch.path.iter().map(|&i| self.coord(i)).collect())
+    }
+
+    /// [`QubitPlane::find_route`] over flat block indices, leaving the route
+    /// in `scratch.path`.  Returns whether a route exists.
+    pub(crate) fn route_into(
+        &self,
+        a: LogicalQubitId,
+        b: LogicalQubitId,
+        cycle: u64,
+        scratch: &mut RouteScratch,
+    ) -> bool {
+        scratch.path.clear();
+        let (Some(start), Some(goal)) = (self.position_of(a), self.position_of(b)) else {
+            return false;
+        };
+        let start = self.index(start);
+        let RouteScratch {
+            parent,
+            frontier,
+            path,
+        } = scratch;
+        parent.clear();
+        parent.resize(self.states.len(), UNSEEN);
+        frontier.clear();
         // BFS over available blocks, seeded with the available neighbours of a.
-        let mut queue = VecDeque::new();
-        let mut visited: HashMap<BlockCoord, Option<BlockCoord>> = HashMap::new();
-        for n in self.neighbors(start_block) {
-            if self.is_available(n, cycle) {
-                visited.insert(n, None);
-                queue.push_back(n);
+        for n in self.neighbor_indices(start) {
+            if self.available_at(n, cycle) {
+                parent[n] = n;
+                frontier.push(n);
             }
         }
-        while let Some(current) = queue.pop_front() {
-            if self.neighbors(current).contains(&goal_block) {
-                // reconstruct path
-                let mut path = vec![current];
+        let mut head = 0;
+        while let Some(&current) = frontier.get(head) {
+            head += 1;
+            let here = self.coord(current);
+            if here.row.abs_diff(goal.row) + here.col.abs_diff(goal.col) == 1 {
+                path.push(current);
                 let mut cursor = current;
-                while let Some(Some(prev)) = visited.get(&cursor) {
-                    path.push(*prev);
-                    cursor = *prev;
+                while parent[cursor] != cursor {
+                    cursor = parent[cursor];
+                    path.push(cursor);
                 }
                 path.reverse();
-                return Some(path);
+                return true;
             }
-            for n in self.neighbors(current) {
-                if self.is_available(n, cycle) && !visited.contains_key(&n) {
-                    visited.insert(n, Some(current));
-                    queue.push_back(n);
+            for n in self.neighbor_indices(current) {
+                if self.available_at(n, cycle) && parent[n] == UNSEEN {
+                    parent[n] = current;
+                    frontier.push(n);
                 }
             }
         }
-        None
+        false
     }
 
     /// The vacant blocks needed to expand a logical qubit into a 2×2 block
     /// patch (the paper's doubling policy): the right, lower and lower-right
     /// diagonal neighbours when they exist.
     pub fn expansion_blocks(&self, qubit: LogicalQubitId) -> Option<Vec<BlockCoord>> {
+        let blocks = self.expansion_indices(qubit)?;
+        Some(
+            blocks
+                .into_iter()
+                .flatten()
+                .map(|i| self.coord(i))
+                .collect(),
+        )
+    }
+
+    /// The flat indices of [`QubitPlane::expansion_blocks`], `None` where a
+    /// block would lie off the plane.
+    fn expansion_indices(&self, qubit: LogicalQubitId) -> Option<[Option<usize>; 3]> {
         let pos = self.position_of(qubit)?;
-        let mut blocks = Vec::new();
-        for (dr, dc) in [(0usize, 1usize), (1, 0), (1, 1)] {
-            let row = pos.row + dr;
-            let col = pos.col + dc;
-            if row < self.rows && col < self.cols {
-                blocks.push(BlockCoord::new(row, col));
-            }
-        }
-        Some(blocks)
+        Some([(0, 1), (1, 0), (1, 1)].map(|(dr, dc)| {
+            let (row, col) = (pos.row + dr, pos.col + dc);
+            (row < self.rows && col < self.cols).then_some(row * self.cols + col)
+        }))
     }
 
     /// Whether the expansion blocks of `qubit` are all available at `cycle`.
     pub fn can_expand(&self, qubit: LogicalQubitId, cycle: u64) -> bool {
-        match self.expansion_blocks(qubit) {
+        match self.expansion_indices(qubit) {
             Some(blocks) => {
-                !blocks.is_empty() && blocks.iter().all(|&b| self.is_available(b, cycle))
+                blocks.iter().any(Option::is_some)
+                    && blocks
+                        .iter()
+                        .flatten()
+                        .all(|&i| self.available_at(i, cycle))
             }
             None => false,
         }
@@ -279,10 +360,10 @@ impl QubitPlane {
             "qubit {qubit:?} cannot expand at cycle {cycle}"
         );
         let blocks = self
-            .expansion_blocks(qubit)
+            .expansion_indices(qubit)
             .expect("expansion blocks exist");
-        for b in blocks {
-            self.reserve(b, cycle, until_cycle);
+        for i in blocks.into_iter().flatten() {
+            self.reserve_index(i, cycle, until_cycle);
         }
     }
 }

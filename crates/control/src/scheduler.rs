@@ -1,7 +1,7 @@
 //! Instruction scheduling and the Fig. 10 throughput simulation.
 
 use crate::isa::{Instruction, LogicalQubitId, RegisterId};
-use crate::plane::{BlockCoord, QubitPlane};
+use crate::plane::{BlockCoord, BlockState, QubitPlane, RouteScratch};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -26,23 +26,43 @@ struct InFlight {
     completes_at: u64,
 }
 
+/// How many queued instructions the scheduler examines per cycle.
+const ISSUE_WINDOW: usize = 32;
+// The issue scan records issued window slots in a `u32` bitmask.
+const _: () = assert!(ISSUE_WINDOW <= u32::BITS as usize);
+
 /// A greedy in-order-issue instruction scheduler over a [`QubitPlane`].
 ///
 /// Each cycle the scheduler retires finished instructions and then walks the
-/// head of the instruction queue (up to `issue_window` entries), issuing
-/// every instruction that commutes with all earlier still-queued
-/// instructions, whose target qubits are idle and whose routing/expansion
-/// space is available.
+/// head of the instruction queue (up to 32 entries), issuing every
+/// instruction that commutes with all earlier still-queued instructions,
+/// whose target qubits are idle and whose routing/expansion space is
+/// available.
+///
+/// Qubit ids index per-qubit tables, so memory grows with the largest id
+/// the scheduler has examined.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     plane: QubitPlane,
     code_distance: usize,
     latency_factor: u64,
-    issue_window: usize,
     queue: VecDeque<Instruction>,
     in_flight: Vec<InFlight>,
     completed: usize,
     cycle: u64,
+    /// The earliest `completes_at` in flight (`u64::MAX` when none is).
+    next_completion: u64,
+    /// Whether the queue or the plane may have changed since the last issue
+    /// scan that issued nothing.
+    rescan: bool,
+    /// Per qubit id: an in-flight instruction targets it.
+    busy: Vec<bool>,
+    /// Per qubit id: an earlier candidate left queued by the current scan
+    /// targets it.
+    blocked: Vec<bool>,
+    /// Registers of the earlier candidates left queued by the current scan.
+    blocked_registers: Vec<RegisterId>,
+    route: RouteScratch,
 }
 
 impl Scheduler {
@@ -50,31 +70,33 @@ impl Scheduler {
     /// `code_distance`.  `latency_factor` scales every instruction latency
     /// (2 for the doubled-distance baseline).
     pub fn new(plane: QubitPlane, code_distance: usize, latency_factor: u64) -> Self {
+        let qubits = plane.num_logical_qubits();
         Self {
             plane,
             code_distance,
             latency_factor: latency_factor.max(1),
-            issue_window: 32,
             queue: VecDeque::new(),
             in_flight: Vec::new(),
             completed: 0,
             cycle: 0,
+            next_completion: u64::MAX,
+            rescan: true,
+            busy: vec![false; qubits],
+            blocked: vec![false; qubits],
+            blocked_registers: Vec::with_capacity(ISSUE_WINDOW),
+            route: RouteScratch::default(),
         }
-    }
-
-    /// Sets how many queued instructions are examined per cycle.
-    pub fn with_issue_window(mut self, issue_window: usize) -> Self {
-        self.issue_window = issue_window.max(1);
-        self
     }
 
     /// Pushes an instruction to the back of the instruction queue.
     pub fn enqueue(&mut self, instruction: Instruction) {
         self.queue.push_back(instruction);
+        self.rescan = true;
     }
 
     /// The qubit plane (for inspection and for injecting anomalies).
     pub fn plane_mut(&mut self) -> &mut QubitPlane {
+        self.rescan = true;
         &mut self.plane
     }
 
@@ -108,90 +130,131 @@ impl Scheduler {
         self.queue.is_empty() && self.in_flight.is_empty()
     }
 
-    fn busy_qubits(&self) -> Vec<LogicalQubitId> {
-        self.in_flight
-            .iter()
-            .flat_map(|f| f.instruction.targets())
-            .collect()
-    }
-
     /// Advances the scheduler by one code cycle.
+    ///
+    /// A cycle retires the instructions that complete on it, releases the
+    /// reservations and anomalies that expire on it and then scans the issue
+    /// window.  When that scan provably cannot change anything, the cycle
+    /// advances without it.  That holds when all of these are true:
+    ///
+    /// * no in-flight instruction completes on this cycle,
+    /// * no reservation or anomaly of the plane expires on this cycle,
+    /// * no instruction was enqueued since the last scan, and that scan
+    ///   issued nothing,
+    /// * [`Scheduler::plane_mut`] was not called since that scan.
     pub fn step(&mut self) {
         let cycle = self.cycle;
-        // retire finished instructions and expire block reservations
-        let before = self.in_flight.len();
-        self.in_flight.retain(|f| f.completes_at > cycle);
-        self.completed += before - self.in_flight.len();
-        self.plane.expire(cycle);
-
-        // issue ready instructions
-        let mut busy = self.busy_qubits();
-        let mut issued_indices = Vec::new();
-        let mut blocked_targets: Vec<LogicalQubitId> = Vec::new();
-        let window = self.issue_window.min(self.queue.len());
-        for idx in 0..window {
-            let candidate = self.queue[idx];
-            // in-order constraint: must commute with every earlier queued
-            // instruction that has not been issued this cycle
-            let commutes = (0..idx)
-                .filter(|i| !issued_indices.contains(i))
-                .all(|i| candidate.commutes_with(&self.queue[i]));
-            if !commutes {
-                blocked_targets.extend(candidate.targets());
-                continue;
-            }
-            let targets = candidate.targets();
-            if targets
-                .iter()
-                .any(|t| busy.contains(t) || blocked_targets.contains(t))
-            {
-                blocked_targets.extend(targets);
-                continue;
-            }
-            if !self.try_reserve_resources(&candidate, cycle) {
-                blocked_targets.extend(candidate.targets());
-                continue;
-            }
-            let latency = candidate.latency_cycles(self.code_distance) * self.latency_factor;
-            self.in_flight.push(InFlight {
-                instruction: candidate,
-                completes_at: cycle + latency.max(1),
-            });
-            busy.extend(candidate.targets());
-            issued_indices.push(idx);
-        }
-        // remove issued instructions from the queue (highest index first)
-        issued_indices.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in issued_indices {
-            self.queue.remove(idx);
-        }
         self.cycle += 1;
+        if !self.rescan && cycle < self.next_completion && cycle < self.plane.next_expiry() {
+            return;
+        }
+        self.retire(cycle);
+        self.plane.expire(cycle);
+        self.rescan = self.issue(cycle);
     }
 
-    fn try_reserve_resources(&mut self, instruction: &Instruction, cycle: u64) -> bool {
-        let latency = instruction.latency_cycles(self.code_distance) * self.latency_factor;
-        let until = cycle + latency.max(1);
-        match instruction {
-            Instruction::MeasZz { a, b, .. } => match self.plane.find_route(*a, *b, cycle) {
-                Some(route) => {
-                    for block in route {
-                        self.plane.reserve(block, cycle, until);
-                    }
-                    true
+    fn retire(&mut self, cycle: u64) {
+        if cycle < self.next_completion {
+            return;
+        }
+        let before = self.in_flight.len();
+        let busy = &mut self.busy;
+        self.in_flight.retain(|f| {
+            let done = f.completes_at <= cycle;
+            if done {
+                for t in f.instruction.targets().iter() {
+                    busy[t.0] = false;
                 }
-                None => false,
-            },
+            }
+            !done
+        });
+        self.completed += before - self.in_flight.len();
+        self.next_completion = self
+            .in_flight
+            .iter()
+            .map(|f| f.completes_at)
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+
+    /// Walks the issue window once; returns whether anything issued.
+    fn issue(&mut self, cycle: u64) -> bool {
+        let window = ISSUE_WINDOW.min(self.queue.len());
+        self.blocked.fill(false);
+        self.blocked_registers.clear();
+        let mut issued = 0u32;
+        for idx in 0..window {
+            let candidate = self.queue[idx];
+            let targets = candidate.targets();
+            if let Some(&LogicalQubitId(top)) = targets.iter().max() {
+                if top >= self.busy.len() {
+                    self.busy.resize(top + 1, false);
+                    self.blocked.resize(top + 1, false);
+                }
+            }
+            // In-order constraint: the candidate must commute with every
+            // earlier candidate left queued, so it shares no qubit (those
+            // are all `blocked`) and no register with them.
+            let ready = targets
+                .iter()
+                .all(|t| !self.busy[t.0] && !self.blocked[t.0])
+                && candidate
+                    .register()
+                    .is_none_or(|r| !self.blocked_registers.contains(&r));
+            let latency = candidate.latency_cycles(self.code_distance) * self.latency_factor;
+            let completes_at = cycle + latency.max(1);
+            if ready && self.try_reserve_resources(&candidate, cycle, completes_at) {
+                self.in_flight.push(InFlight {
+                    instruction: candidate,
+                    completes_at,
+                });
+                self.next_completion = self.next_completion.min(completes_at);
+                for t in targets.iter() {
+                    self.busy[t.0] = true;
+                }
+                issued |= 1 << idx;
+            } else {
+                for t in targets.iter() {
+                    self.blocked[t.0] = true;
+                }
+                self.blocked_registers.extend(candidate.register());
+            }
+        }
+        if issued == 0 {
+            return false;
+        }
+        // Close the gaps left by the issued instructions, keeping order.
+        let mut kept = 0;
+        for idx in 0..window {
+            if issued & (1 << idx) == 0 {
+                self.queue.swap(kept, idx);
+                kept += 1;
+            }
+        }
+        self.queue.drain(kept..window);
+        true
+    }
+
+    fn try_reserve_resources(&mut self, instruction: &Instruction, cycle: u64, until: u64) -> bool {
+        match *instruction {
+            Instruction::MeasZz { a, b, .. } => {
+                let found = self.plane.route_into(a, b, cycle, &mut self.route);
+                if found {
+                    for &block in &self.route.path {
+                        self.plane.reserve_index(block, cycle, until);
+                    }
+                }
+                found
+            }
             Instruction::OpExpand {
                 target,
                 keep_cycles,
             } => {
-                if self.plane.can_expand(*target, cycle) {
-                    self.plane
-                        .expand(*target, cycle, cycle + keep_cycles.max(&1));
-                    true
-                } else {
-                    false
+                let can = self.plane.can_expand(target, cycle);
+                if can {
+                    self.plane.expand(target, cycle, cycle + keep_cycles.max(1));
                 }
+                can
             }
             _ => true,
         }
@@ -276,6 +339,7 @@ impl ThroughputSimulator {
         let plane = QubitPlane::checkerboard(cfg.plane_size, cfg.plane_size);
         let qubits = plane.logical_qubits();
         let mut scheduler = Scheduler::new(plane, d, latency_factor);
+        scheduler.queue.reserve(cfg.num_instructions);
 
         for i in 0..cfg.num_instructions {
             let a = qubits[rng.gen_range(0..qubits.len())];
@@ -306,7 +370,7 @@ impl ThroughputSimulator {
                         if rng.gen::<f64>() < per_cycle_probability {
                             let block = BlockCoord::new(row, col);
                             match scheduler.plane().state(block) {
-                                crate::plane::BlockState::Logical(id) => {
+                                BlockState::Logical(id) => {
                                     scheduler.enqueue(Instruction::OpExpand {
                                         target: id,
                                         keep_cycles: duration,

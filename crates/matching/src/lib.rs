@@ -8,7 +8,7 @@
 //! The paper estimates recovery operations with Kolmogorov's Blossom V for
 //! its Monte-Carlo experiments (Figs. 3 and 8) and with the QECOOL-style
 //! greedy matcher for its hardware decoder (Table IV).  Blossom V is not
-//! redistributable, so this crate provides (see DESIGN.md §2):
+//! redistributable, so this crate provides:
 //!
 //! * [`ExactMatcher`] — exact minimum-weight matching by bitmask dynamic
 //!   programming, usable up to ~20 active nodes; it serves both as the

@@ -17,8 +17,7 @@ use crate::{GreedyMatcher, MatchTarget, Matcher, Matching, MatchingProblem};
 ///
 /// This recovers the optimum on the vast majority of decoding instances (it
 /// is property-tested against [`crate::ExactMatcher`] on random instances)
-/// and plays the role of Blossom V for large syndromes in this reproduction;
-/// see DESIGN.md for the substitution rationale.
+/// and plays the role of Blossom V for large syndromes in this reproduction.
 #[derive(Debug, Clone, Copy)]
 pub struct RefinedGreedyMatcher {
     /// Maximum number of improvement sweeps over the current matching.

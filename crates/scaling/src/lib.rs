@@ -7,7 +7,7 @@
 //!   memory Q3DE adds to the decoding pipeline.
 //! * [`decoder_hw`] — the Table IV resource/throughput model of the
 //!   greedy-matching decoder unit (our substitution for the paper's Vitis
-//!   HLS synthesis; see DESIGN.md).
+//!   HLS synthesis).
 //! * [`effective`] — the Eq. (1) effective logical error rate and the
 //!   Eq. (4) effective code-distance reduction.
 //! * [`stats`] — Wilson-score confidence-interval helpers used by the
